@@ -13,30 +13,38 @@
 //! 2. **Throughput floor** — every row present in both artifacts (keyed by
 //!    algo × policy × version × threads × clock) must keep at least
 //!    `--floor` (default 0.95) of the baseline's `txns_per_vsec`.
-//! 3. **Virtual-time identity** — default-clock (`global`) rows must match
-//!    the baseline bit-for-bit on every simulation-determined field; the
-//!    default clock path is untouched across PRs, so any drift there is a
-//!    semantics change, not noise. `--allow-virtual-drift` downgrades this
-//!    to a report for PRs that intentionally change the simulation. The
-//!    `1.2` blocking fields (`parked_waits`, `lost_wakeups`,
-//!    `escalations`) join the identity set once the baseline carries them,
-//!    as do the `1.3` repartition fields (`repartitions`,
-//!    `split_drain_cycles`).
+//! 3. **Virtual-time identity** — every shared row must match the
+//!    baseline bit-for-bit on every simulation-determined field; the
+//!    simulation is deterministic for every policy and clock kind, so any
+//!    drift is a semantics change, not noise. `--allow-virtual-drift`
+//!    downgrades this to a report for PRs that intentionally change the
+//!    simulation. The `1.2` blocking fields (`parked_waits`,
+//!    `lost_wakeups`, `escalations`) join the identity set once the
+//!    baseline carries them, as do the `1.3` repartition fields
+//!    (`repartitions`, `split_drain_cycles`).
 //! 4. **Current-artifact sanity** — every row completed; clock-variant rows
 //!    are present for every algorithm, none collapsed below 0.75× its
 //!    default-clock twin, and at least one variant still beats the global
 //!    clock on single-view NOrec (the paper's named bottleneck); if the
 //!    document carries the `1.1` wasted-work ledger, `waste_frac` is a
 //!    finite number and the per-reason wasted cycles sum exactly to
-//!    `wasted_cycles`; if it carries `1.3` adaptive-partition rows, every
-//!    `*-adaptive` row repartitioned at least once and converged to
-//!    >= 0.90× its hand-partitioned twin's throughput.
+//!    `wasted_cycles`.
+//! 5. **Blocking gate** (`1.2` documents) — the `bounded16-spin` and
+//!    `bounded16-block` rows are present; every block row parked at least
+//!    once and lost no wakeup; the gated pair (the first spin row and its
+//!    same-algorithm block twin, NOrec) never escalated and cut busy
+//!    retries per commit by at least 10×.
+//! 6. **Convergence gate** (`1.3` documents) — hand-partitioned and
+//!    adaptive partition rows are present in equal numbers; every
+//!    `*-adaptive` row repartitioned at least once, spent time in drain
+//!    barriers, ended with at least two views and converged to >= 0.90×
+//!    its hand-partitioned twin's throughput.
 //!
 //! Exit status: 0 clean, 1 regression/divergence, 2 usage or schema error.
 
 use votm_bench::json::{self, Json};
 
-/// Fields that must be bit-identical across PRs for default-clock rows:
+/// Fields that must be bit-identical across PRs for every shared row:
 /// everything the virtual-time simulation determines (as opposed to host
 /// wall time).
 const VIRTUAL_FIELDS: [&str; 13] = [
@@ -75,6 +83,14 @@ const CONVERGENCE_FLOOR: f64 = 0.90;
 /// to the default on gate geometry, but under 0.75× is a bug.
 const COLLAPSE_RATIO: f64 = 0.75;
 
+/// The blocking gate's minimum spin-to-block drop in busy retries per
+/// commit on the gated pair.
+const BLOCKING_DROP: f64 = 10.0;
+
+/// Floor on the block row's busy retries per commit when computing the
+/// drop, so a block row with (almost) no retries does not divide by zero.
+const BLOCKING_DROP_EPS: f64 = 0.05;
+
 fn fail_usage(msg: &str) -> ! {
     eprintln!("benchdiff: {msg}");
     eprintln!("usage: benchdiff BASELINE.json CURRENT.json [--floor F] [--allow-virtual-drift]");
@@ -98,6 +114,14 @@ fn schema_version(doc: &Json) -> String {
 
 fn major(version: &str) -> &str {
     version.split('.').next().unwrap_or(version)
+}
+
+/// `(major, minor)` of a schema version string.
+fn major_minor(version: &str) -> (u64, u64) {
+    let mut parts = version.split('.');
+    let major = parts.next().and_then(|p| p.parse().ok()).unwrap_or(0);
+    let minor = parts.next().and_then(|p| p.parse().ok()).unwrap_or(0);
+    (major, minor)
 }
 
 /// Row identity across artifacts. `clock` defaults to `"global"` so
@@ -201,29 +225,27 @@ fn main() {
                 "{label}: txns_per_vsec {bt:.1} -> {ct:.1} ({ratio:.3}x, floor {floor:.2})"
             ));
         }
-        if k.4 == "global" {
-            let extra_1_2 = VIRTUAL_FIELDS_1_2
-                .iter()
-                .copied()
-                .filter(|f| b.get(f).is_some());
-            let extra_1_3 = VIRTUAL_FIELDS_1_3
-                .iter()
-                .copied()
-                .filter(|f| b.get(f).is_some());
-            for f in VIRTUAL_FIELDS.into_iter().chain(extra_1_2).chain(extra_1_3) {
-                if b.get(f) != r.get(f) {
-                    let msg = format!(
-                        "{label}: virtual field {f} diverged: {:?} -> {:?}",
-                        b.get(f),
-                        r.get(f)
-                    );
-                    if allow_virtual_drift {
-                        println!("  note: {msg}");
-                    } else {
-                        problems.push(msg);
-                        if verdict.is_empty() {
-                            verdict = format!("DIVERGED ({f})");
-                        }
+        let extra_1_2 = VIRTUAL_FIELDS_1_2
+            .iter()
+            .copied()
+            .filter(|f| b.get(f).is_some());
+        let extra_1_3 = VIRTUAL_FIELDS_1_3
+            .iter()
+            .copied()
+            .filter(|f| b.get(f).is_some());
+        for f in VIRTUAL_FIELDS.into_iter().chain(extra_1_2).chain(extra_1_3) {
+            if b.get(f) != r.get(f) {
+                let msg = format!(
+                    "{label}: virtual field {f} diverged: {:?} -> {:?}",
+                    b.get(f),
+                    r.get(f)
+                );
+                if allow_virtual_drift {
+                    println!("  note: {msg}");
+                } else {
+                    problems.push(msg);
+                    if verdict.is_empty() {
+                        verdict = format!("DIVERGED ({f})");
                     }
                 }
             }
@@ -232,12 +254,8 @@ fn main() {
     }
 
     // ---- Current-artifact sanity (independent of the baseline) ----
-    let cur_schema_has_ledger = {
-        let mut parts = cv.split('.');
-        let major: u64 = parts.next().and_then(|p| p.parse().ok()).unwrap_or(0);
-        let minor: u64 = parts.next().and_then(|p| p.parse().ok()).unwrap_or(0);
-        (major, minor) >= (1, 1)
-    };
+    let cur_schema = major_minor(&cv);
+    let cur_schema_has_ledger = cur_schema >= (1, 1);
     for r in cur_rows {
         let label = key_label(&row_key(r));
         let status = r.get("status").and_then(Json::as_str).unwrap_or("?");
@@ -267,28 +285,11 @@ fn main() {
             }
         }
     }
-    // Adaptive-partition block (`1.3` rows): every adaptive row actually
-    // repartitioned and reached the convergence floor against its
-    // hand-partitioned twin.
-    for r in cur_rows {
-        let k = row_key(r);
-        if !k.2.starts_with("partition-") || !k.2.ends_with("-adaptive") {
-            continue;
-        }
-        let label = key_label(&k);
-        let reparts = r.get("repartitions").and_then(Json::as_u64).unwrap_or(0);
-        if reparts == 0 {
-            problems.push(format!(
-                "{label}: adaptive partition row never repartitioned"
-            ));
-        }
-        let ratio = f64_field(r, "converged_throughput_ratio");
-        if ratio.is_nan() || ratio < CONVERGENCE_FLOOR {
-            problems.push(format!(
-                "{label}: converged to {ratio:.3}x hand-partitioned throughput \
-                 (< {CONVERGENCE_FLOOR:.2}x floor)"
-            ));
-        }
+    if cur_schema >= (1, 2) {
+        check_blocking(cur_rows, &mut problems);
+    }
+    if cur_schema >= (1, 3) {
+        check_convergence(cur_rows, &mut problems);
     }
     // Clock-variant block: presence, collapse floor, and the NOrec win.
     let max_n = cur_rows
@@ -360,5 +361,118 @@ fn main() {
             println!("  FAIL: {p}");
         }
         std::process::exit(1);
+    }
+}
+
+/// The blocking gate (`1.2` rows): the spin-vs-park scenario pair exists,
+/// every block row parked without losing a wakeup, and on the gated pair
+/// parking never read as starvation and cut busy retries by
+/// [`BLOCKING_DROP`]×. (Orec block rows may escalate on genuine conflict
+/// streaks — that is the watchdog working — so only the gated pair is
+/// held to zero escalations.)
+fn check_blocking(rows: &[Json], problems: &mut Vec<String>) {
+    let with_version =
+        |v: &str| -> Vec<&Json> { rows.iter().filter(|r| row_key(r).2 == v).collect() };
+    let spin = with_version("bounded16-spin");
+    let block = with_version("bounded16-block");
+    if spin.is_empty() || block.is_empty() {
+        problems.push("blocking scenario rows (bounded16-spin/-block) missing".to_string());
+        return;
+    }
+    for r in &block {
+        // (Completion is required of every row by the sanity pass in main.)
+        let label = key_label(&row_key(r));
+        if r.get("parked_waits").and_then(Json::as_u64).unwrap_or(0) == 0 {
+            problems.push(format!("{label}: block row never parked"));
+        }
+        match r.get("lost_wakeups").and_then(Json::as_u64) {
+            Some(0) => {}
+            other => problems.push(format!("{label}: lost_wakeups {other:?}, expected 0")),
+        }
+    }
+    let s = spin[0];
+    let algo = row_key(s).0;
+    let Some(b) = block.iter().find(|r| row_key(r).0 == algo) else {
+        problems.push(format!(
+            "blocking gate: no {algo} block row to pair with the spin row"
+        ));
+        return;
+    };
+    let label = key_label(&row_key(b));
+    match b.get("escalations").and_then(Json::as_u64) {
+        Some(0) => {}
+        other => problems.push(format!("{label}: gated block row escalated ({other:?})")),
+    }
+    let (spin_busy, block_busy) = (
+        f64_field(s, "busy_retries_per_commit"),
+        f64_field(b, "busy_retries_per_commit"),
+    );
+    let drop = spin_busy / block_busy.max(BLOCKING_DROP_EPS);
+    if drop.is_nan() || drop < BLOCKING_DROP {
+        problems.push(format!(
+            "{label}: busy retries/commit {spin_busy:.2} (spin) -> {block_busy:.2} (block) \
+             is only a {drop:.1}x drop (< {BLOCKING_DROP:.0}x)"
+        ));
+    } else {
+        println!(
+            "blocking gate: busy retries/commit {spin_busy:.2} (spin) -> {block_busy:.2} \
+             (block), {drop:.0}x drop"
+        );
+    }
+}
+
+/// The adaptive-partition convergence gate (`1.3` rows): every scenario
+/// has a hand-partitioned and an adaptive row, and each adaptive row —
+/// which started as ONE view — actually split live (repartitioned, spent
+/// time in drain barriers, ended with at least two views) and converged
+/// to [`CONVERGENCE_FLOOR`]× the hand layout's throughput.
+fn check_convergence(rows: &[Json], problems: &mut Vec<String>) {
+    let partition = |suffix: &str| -> Vec<&Json> {
+        rows.iter()
+            .filter(|r| {
+                let v = row_key(r).2;
+                v.starts_with("partition-") && v.ends_with(suffix)
+            })
+            .collect()
+    };
+    let hand = partition("-hand");
+    let adapt = partition("-adaptive");
+    if hand.is_empty() || adapt.is_empty() {
+        problems.push("partition scenario rows missing".to_string());
+        return;
+    }
+    if hand.len() != adapt.len() {
+        problems.push(format!(
+            "partition rows unpaired: {} hand vs {} adaptive",
+            hand.len(),
+            adapt.len()
+        ));
+    }
+    for r in &adapt {
+        let label = key_label(&row_key(r));
+        let u = |k: &str| r.get(k).and_then(Json::as_u64).unwrap_or(0);
+        if u("repartitions") == 0 {
+            problems.push(format!(
+                "{label}: adaptive partition row never repartitioned"
+            ));
+        }
+        if u("split_drain_cycles") == 0 {
+            problems.push(format!(
+                "{label}: adaptive partition row spent no time draining"
+            ));
+        }
+        if u("n_views") < 2 {
+            problems.push(format!(
+                "{label}: adaptive partition row ended with {} view(s)",
+                u("n_views")
+            ));
+        }
+        let ratio = f64_field(r, "converged_throughput_ratio");
+        if ratio.is_nan() || ratio < CONVERGENCE_FLOOR {
+            problems.push(format!(
+                "{label}: converged to {ratio:.3}x hand-partitioned throughput \
+                 (< {CONVERGENCE_FLOOR:.2}x floor)"
+            ));
+        }
     }
 }

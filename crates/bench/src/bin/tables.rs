@@ -3,6 +3,9 @@
 //! ```text
 //! tables [--table N]... [--eigen-scale F] [--intruder-scale F]
 //!        [--threads N] [--seed S] [--cap-factor K]
+//! tables --json PATH      # throughput gate artifact + comparison tables
+//! tables --trace PATH     # recorded Chrome trace + snapshot
+//! tables --profile PATH   # conflict-topology profile
 //! ```
 //!
 //! With no `--table` arguments all eight paper tables run in order; tables
@@ -19,9 +22,10 @@ use votm_bench::{fmt, Settings};
 struct Args {
     tables: Vec<u32>,
     settings: Settings,
-    /// `--json`: run the throughput gate and write `BENCH_4.json` instead of
-    /// printing markdown tables.
-    json: bool,
+    /// `--json PATH`: run the throughput gate and write the gate artifact
+    /// (conventionally `BENCH_<n>.json`) to PATH instead of printing
+    /// markdown tables.
+    json: Option<String>,
     /// `--trace PATH`: run one recorded multi-view adaptive Eigenbench sim
     /// and write the Chrome trace to PATH (plus the snapshot schema next to
     /// it) instead of printing markdown tables.
@@ -36,7 +40,7 @@ struct Args {
 fn parse_args() -> Args {
     let mut settings = Settings::default();
     let mut tables = Vec::new();
-    let mut json = false;
+    let mut json = None;
     let mut trace = None;
     let mut profile = None;
     let mut eigen_scale_set = false;
@@ -52,7 +56,7 @@ fn parse_args() -> Args {
                     .parse()
                     .expect("--table takes a number 3..=10"),
             ),
-            "--json" => json = true,
+            "--json" => json = Some(value("--json")),
             "--trace" => trace = Some(value("--trace")),
             "--profile" => profile = Some(value("--profile")),
             "--eigen-scale" => {
@@ -69,7 +73,7 @@ fn parse_args() -> Args {
             }
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: tables [--table N]... [--json] [--trace PATH] [--profile PATH] \
+                    "usage: tables [--table N]... [--json PATH] [--trace PATH] [--profile PATH] \
                      [--eigen-scale F] [--intruder-scale F] [--threads N] [--seed S] \
                      [--cap-factor K]"
                 );
@@ -96,9 +100,6 @@ fn parse_args() -> Args {
 /// artifacts are directly comparable.
 const GATE_EIGEN_SCALE: f64 = 0.001;
 
-/// Output artifact of `--json`: the PR-numbered benchmark trajectory file.
-const GATE_ARTIFACT: &str = "BENCH_10.json";
-
 /// Sidecar artifact of `--json`: the per-policy comparison table
 /// (markdown), built from the gate's policy rows.
 const POLICY_ARTIFACT: &str = "policy_table.md";
@@ -111,15 +112,14 @@ const CLOCK_ARTIFACT: &str = "clock_table.md";
 /// convergence table (markdown), built from the gate's partition rows.
 const PARTITION_ARTIFACT: &str = "partition_table.md";
 
-fn run_json_gate(mut settings: Settings, eigen_scale_set: bool) {
+fn run_json_gate(mut settings: Settings, eigen_scale_set: bool, path: &str) {
     if !eigen_scale_set {
         settings.eigen_scale = GATE_EIGEN_SCALE;
     }
     let t0 = std::time::Instant::now();
     let rows = votm_bench::throughput_gate(&settings);
     let json = votm_bench::gate_rows_to_json(&settings, &rows);
-    std::fs::write(GATE_ARTIFACT, &json)
-        .unwrap_or_else(|e| panic!("cannot write {GATE_ARTIFACT}: {e}"));
+    std::fs::write(path, &json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
     let spreads = votm_bench::policy_spreads(&settings, &rows);
     let policy_md = fmt::policy_table(&rows, &spreads);
     std::fs::write(POLICY_ARTIFACT, &policy_md)
@@ -132,7 +132,7 @@ fn run_json_gate(mut settings: Settings, eigen_scale_set: bool) {
         .unwrap_or_else(|e| panic!("cannot write {PARTITION_ARTIFACT}: {e}"));
     let wall_total: f64 = rows.iter().map(|r| r.wall_s).sum();
     eprintln!(
-        "wrote {GATE_ARTIFACT}, {POLICY_ARTIFACT}, {CLOCK_ARTIFACT} and {PARTITION_ARTIFACT}: \
+        "wrote {path}, {POLICY_ARTIFACT}, {CLOCK_ARTIFACT} and {PARTITION_ARTIFACT}: \
          {} rows in {:.1}s wall time ({wall_total:.2}s summed row wall_s)",
         rows.len(),
         t0.elapsed().as_secs_f64()
@@ -210,8 +210,8 @@ fn main() {
         run_trace(&args.settings, path);
         return;
     }
-    if args.json {
-        run_json_gate(args.settings, args.eigen_scale_set);
+    if let Some(path) = &args.json {
+        run_json_gate(args.settings, args.eigen_scale_set, path);
         return;
     }
     let s = &args.settings;

@@ -271,7 +271,7 @@ pub fn policy_table(rows: &[GateRow], spreads: &[PolicySpread]) -> String {
     out.push_str(&markdown(&lines));
     out.push_str(
         "\nBackoff rows aggregate the gate's seed sweep; policy rows' headline `txns/vsec` \
-         is the single-seed comparison run (see BENCH_10.json for the raw fields), while \
+         is the single-seed comparison run (the gate artifact carries the raw fields), while \
          the mean (min–max) column aggregates three deterministic seeds so a lucky seed \
          cannot flip a policy ranking unnoticed.\n",
     );
@@ -421,9 +421,9 @@ pub fn clock_table(rows: &[GateRow]) -> String {
     }
     out.push_str(
         "\nDefault-clock (`global`) rows aggregate the gate's seed sweep; clock-variant \
-         rows are single-seed comparison runs (see BENCH_10.json for the raw fields). \
-         `bumps` counts clock advances taken, `bump skips` counts advances elided or \
-         banked by the variant's coalescing strategy.\n",
+         rows are single-seed comparison runs (the gate artifact carries the raw fields). \
+         `bumps` counts clock advances taken, `bump skips` counts advances the GV5 \
+         orec clock avoided by reusing the current epoch.\n",
     );
     out
 }

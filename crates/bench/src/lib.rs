@@ -499,11 +499,11 @@ pub struct GateRow {
     /// paper's global-clock bottleneck: under single-view NOrec at N = 16
     /// this dwarfs 1, and it is the number the clock variants attack.
     pub busy_retries_per_commit: f64,
-    /// Clock bumps actually taken (fetch-add or shard tick), summed over
-    /// views and seeds. See `votm_stm::clock::ClockStats::bumps`.
+    /// Clock bumps actually taken (seqlock release or fetch-add), summed
+    /// over views and seeds. See `votm_stm::clock::ClockStats::bumps`.
     pub clock_bumps: u64,
-    /// Clock bumps elided or banked (epoch coalescing, GV5 reuse, SNZI
-    /// solo-skip), summed over views and seeds. Always 0 under `"global"`.
+    /// Clock bumps avoided (GV5 epoch reuse), summed over views and seeds.
+    /// Always 0 under `"global"`.
     pub clock_bump_skips: u64,
     /// Cycles threads spent blocked at admission gates.
     pub gate_wait_cycles: u64,
@@ -712,8 +712,8 @@ fn gate_config_row(
 /// Finally one row per non-default clock kind × algorithm (single-view,
 /// N = 16, one seed, backoff): the head-to-head clock-variant comparison
 /// `clock_table.md` formats; CI checks presence, completion and the 0.95×
-/// throughput floor, and the default-clock rows above stay bit-identical
-/// to the previous artifact because [`ClockKind::Global`] is untouched.
+/// throughput floor, and every row shared with the previous artifact stays
+/// bit-identical in virtual time.
 /// Finally the [`workload::BLOCKING_SCENARIOS`] rows: the bounded-buffer
 /// spin-vs-block comparison (distinct `version` labels, so `benchdiff`
 /// reports them as new rows and the gated eigenbench rows above are
@@ -896,10 +896,10 @@ pub fn capture_trace_cm(
 }
 
 /// [`capture_trace_cm`] under an explicit clock strategy. Each clock kind
-/// is still a deterministic function of the seeds — shard indices derive
-/// from addresses, epoch banking from the commit interleaving — so two
-/// captures with identical arguments are byte-identical whatever the
-/// clock; the per-clock determinism suite asserts exactly that.
+/// is still a deterministic function of the seeds — GV5 epoch reuse and
+/// rescue bumps follow the commit interleaving — so two captures with
+/// identical arguments are byte-identical whatever the clock; the
+/// per-clock determinism suite asserts exactly that.
 pub fn capture_trace_clock(
     settings: &Settings,
     algo: TmAlgorithm,
@@ -1288,7 +1288,7 @@ mod tests {
                 );
             }
         }
-        // The default clock always bumps, never banks.
+        // The default clock always bumps, never skips.
         for r in rows.iter().filter(|r| r.clock == "global") {
             assert_eq!(r.clock_bump_skips, 0, "{r:?}");
             assert!(r.clock_bumps > 0, "{r:?}");

@@ -74,15 +74,6 @@ pub struct Votm {
 }
 
 impl Votm {
-    /// Creates an empty system from a raw config struct.
-    #[deprecated(
-        since = "0.9.0",
-        note = "use the typed front door: `Votm::builder().algo(..).policy(..).clock(..).build()`"
-    )]
-    pub fn new(config: VotmConfig) -> Self {
-        Self::from_config(config)
-    }
-
     /// The builder front door: `Votm::builder().algo(..).policy(..)
     /// .clock(..).build()`. Every knob defaults to the paper's baseline
     /// ([`VotmConfig::default`]), so `Votm::builder().build()` is a valid
