@@ -183,3 +183,41 @@ fn affinity_matrix_recovers_hand_partition_from_single_view_run() {
         }
     }
 }
+
+/// The `tables --profile` sidecar, checked as a document: the same
+/// settings the binary runs, parsed back from its JSON text.
+#[test]
+fn profile_sidecar_json_has_schema_exact_attribution_and_bounded_separability() {
+    let cap = votm_bench::capture_profile(&Settings::default(), TmAlgorithm::OrecEagerRedo);
+    let p = votm_bench::json::parse(&cap.json).expect("profile sidecar is valid JSON");
+    assert_eq!(
+        p.get("schema").and_then(|s| s.as_str()),
+        Some("votm-obs-profile-v1")
+    );
+    let field = |row: &votm_bench::json::Json, key: &str| {
+        row.get(key)
+            .and_then(|v| v.as_u64())
+            .unwrap_or_else(|| panic!("missing integer field {key}"))
+    };
+    let total = field(&p, "abort_cycles_total");
+    let buckets = p
+        .get("buckets")
+        .and_then(|b| b.as_arr())
+        .expect("buckets array");
+    let unattributed = p.get("unattributed").expect("unattributed row");
+    let attributed = buckets
+        .iter()
+        .map(|b| field(b, "wasted_cycles"))
+        .sum::<u64>()
+        + field(unattributed, "wasted_cycles");
+    assert_eq!(attributed, total, "attributed cycles != abort_cycles_total");
+    let separability = p
+        .get("partition")
+        .and_then(|part| part.get("separability"))
+        .and_then(|s| s.as_f64())
+        .expect("partition.separability");
+    assert!(
+        (0.0..=1.0).contains(&separability),
+        "separability {separability} outside [0, 1]"
+    );
+}

@@ -81,7 +81,7 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use votm_obs::{AbortReason, ConflictProfile, EventKind, PROFILE_BUCKETS};
+use votm_obs::{AbortReason, ConflictProfile, EventKind, FlightRecorder, PROFILE_BUCKETS};
 use votm_rac::{GateGuard, QuotaMode};
 use votm_sim::Rt;
 use votm_stm::{bloom_bucket, cost, Addr, RouteTable, StatsSnapshot, WordHeap};
@@ -181,6 +181,8 @@ pub struct AdaptiveDomain {
     /// Per-slot stats snapshot at the last controller evaluation, for
     /// interval-delta waste shares.
     prev_stats: Mutex<Vec<StatsSnapshot>>,
+    /// The split decision's input, folded event by event from the recorder.
+    profiles: Mutex<ViewProfiles>,
     last_repartition: AtomicU64,
     repartitions: AtomicU64,
     splits: AtomicU64,
@@ -188,6 +190,47 @@ pub struct AdaptiveDomain {
     split_drain_cycles: AtomicU64,
     straddles: AtomicU64,
     reroutes: AtomicU64,
+}
+
+/// The controller's incremental conflict profile: a read cursor per
+/// recorder ring and one profile per live view id. Each evaluation folds
+/// only the events recorded since the last one, so its cost is O(new
+/// events) rather than O(history × views).
+#[derive(Default)]
+struct ViewProfiles {
+    cursors: Vec<u64>,
+    by_view: Vec<(u16, ConflictProfile)>,
+}
+
+impl ViewProfiles {
+    /// Folds the recorder's new events into the profiles of `live` view
+    /// ids, dropping the profiles of views no longer live. A view is live
+    /// from its creation until it retires, so each live view's profile
+    /// holds every event ever recorded against it — including events a
+    /// wrapped ring has since overwritten, when the controller read them
+    /// in time.
+    fn fold_new(&mut self, recorder: &FlightRecorder, live: &[u16]) {
+        self.by_view.retain(|(id, _)| live.contains(id));
+        for &id in live {
+            if !self.by_view.iter().any(|(v, _)| *v == id) {
+                self.by_view.push((id, ConflictProfile::empty()));
+            }
+        }
+        let by_view = &mut self.by_view;
+        recorder.for_each_new(&mut self.cursors, |_, ev| {
+            let view = ev.kind.view();
+            if let Some((_, p)) = by_view.iter_mut().find(|(id, _)| *id == view) {
+                p.add(&ev.kind);
+            }
+        });
+    }
+
+    fn get(&self, view: u16) -> Option<&ConflictProfile> {
+        self.by_view
+            .iter()
+            .find(|(id, _)| *id == view)
+            .map(|(_, p)| p)
+    }
 }
 
 /// How an attempt left the view it was dispatched to.
@@ -237,6 +280,7 @@ impl AdaptiveDomain {
             next_view_id: AtomicUsize::new(0),
             cross: (0..mv * mv).map(|_| AtomicU64::new(0)).collect(),
             prev_stats: Mutex::new(Vec::new()),
+            profiles: Mutex::new(ViewProfiles::default()),
             last_repartition: AtomicU64::new(0),
             repartitions: AtomicU64::new(0),
             splits: AtomicU64::new(0),
@@ -522,10 +566,16 @@ impl AdaptiveDomain {
         }
     }
 
-    /// One controller evaluation: at most one repartition, behind the
-    /// hysteresis gates. Public so tests and single-shot harnesses can
-    /// drive the decision without the periodic task.
+    /// One controller evaluation: folds the recorder's new events into
+    /// the per-view conflict profiles, then applies at most one
+    /// repartition, behind the hysteresis gates. Public so tests and
+    /// single-shot harnesses can drive the decision without the periodic
+    /// task.
     pub async fn rebalance(&self, rt: &Rt) {
+        if let Some(recorder) = &self.config.recorder {
+            let live: Vec<u16> = self.live_views().iter().map(|v| v.id() as u16).collect();
+            self.profiles.lock().fold_new(recorder, &live);
+        }
         let cooled = rt
             .now()
             .saturating_sub(self.last_repartition.load(Ordering::Acquire))
@@ -573,9 +623,17 @@ impl AdaptiveDomain {
     /// Evaluates every live view for a split and executes the best
     /// eligible one.
     async fn try_split(&self, rt: &Rt) {
-        let Some(recorder) = self.config.recorder.clone() else {
-            return; // no profile source: split decisions are impossible
-        };
+        if let Some((slot, move_mask)) = self.split_candidate() {
+            self.split(rt, slot, move_mask).await;
+        }
+    }
+
+    /// The first live view whose conflict profile clears the hysteresis
+    /// gates, with the buckets to move off it. Synchronous, so no lock is
+    /// held across the split's drain.
+    fn split_candidate(&self) -> Option<(u32, u64)> {
+        // No profile source: split decisions are impossible.
+        self.config.recorder.as_ref()?;
         let live_count = self
             .views
             .lock()
@@ -583,9 +641,9 @@ impl AdaptiveDomain {
             .filter(|v| !v.gate().is_retired())
             .count();
         if live_count >= self.policy.max_views {
-            return;
+            return None;
         }
-        let traces = recorder.snapshot();
+        let profiles = self.profiles.lock();
         let slots: Vec<u32> = (0..self.views.lock().len() as u32).collect();
         for slot in slots {
             let view = self.view_at(slot);
@@ -605,7 +663,9 @@ impl AdaptiveDomain {
             {
                 continue;
             }
-            let profile = ConflictProfile::from_traces_for_view(&traces, view.id() as u16);
+            let Some(profile) = profiles.get(view.id() as u16) else {
+                continue;
+            };
             if profile.aborts_total < self.policy.min_aborts {
                 continue;
             }
@@ -626,9 +686,9 @@ impl AdaptiveDomain {
             if move_mask == 0 || move_mask == owned {
                 continue;
             }
-            self.split(rt, slot, move_mask).await;
-            return;
+            return Some((slot, move_mask));
         }
+        None
     }
 
     /// Executes a split: drains `slot`, materialises a fresh view over the

@@ -1,9 +1,10 @@
 //! The flight-recorder event model and its fixed-width wire encoding.
 //!
 //! Events are compact `Copy` values. Inside the recorder each event is
-//! stored as four relaxed `u64` words (`[ts, meta, a, b]`) plus a sequence
-//! word, so a record is a handful of relaxed stores — no allocation, no
-//! locking, no formatting on the hot path.
+//! stored as four `u64` words (`[ts, meta, a, b]`) plus a sequence word,
+//! so a record is a handful of atomic stores — no locking and no
+//! formatting on the hot path, and no allocation once the ring's chunk
+//! holding the slot exists.
 
 use crate::reason::AbortReason;
 

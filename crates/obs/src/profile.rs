@@ -10,8 +10,9 @@
 //! complementary question — *which* addresses the wasted cycles are
 //! attributable to — from [`EventKind::ConflictDetected`] events.
 //!
-//! Everything here runs strictly offline on a snapshot; nothing in this
-//! module is on a transaction's hot path.
+//! Nothing in this module is on a transaction's hot path: profiles are
+//! folded from a snapshot after the run, or event by event by the
+//! repartitioning controller between evaluations.
 
 use crate::event::{ConflictSiteKind, EventKind, ADDR_BUCKET_NONE, PROFILE_BUCKETS};
 use crate::reason::AbortReason;
@@ -49,10 +50,11 @@ impl BucketRow {
 
 /// The folded profile: attribution table + affinity matrix + counters.
 ///
-/// Build with [`ConflictProfile::from_traces`], then export with
+/// Build with [`ConflictProfile::from_traces`] (or incrementally with
+/// [`ConflictProfile::empty`] and [`ConflictProfile::add`]), then export with
 /// [`ConflictProfile::to_json`] or partition with
 /// [`ConflictProfile::suggest_bipartition`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConflictProfile {
     /// Per-bucket abort attribution (`PROFILE_BUCKETS` rows).
     pub buckets: Vec<BucketRow>,
@@ -81,25 +83,9 @@ pub struct ConflictProfile {
 }
 
 impl ConflictProfile {
-    /// Folds a flight-recorder snapshot into a profile.
-    ///
-    /// Thread order does not affect the result: every fold is a
-    /// commutative counter bump, so the profile is deterministic for a
-    /// deterministic simulation regardless of snapshot interleaving.
-    pub fn from_traces(traces: &[ThreadTrace]) -> ConflictProfile {
-        Self::fold(traces, None)
-    }
-
-    /// Folds only the events recorded against `view`. This is the
-    /// repartitioner's input: with several views sharing one recorder, a
-    /// split decision for view V must not see the affinity of buckets the
-    /// route table already assigns elsewhere.
-    pub fn from_traces_for_view(traces: &[ThreadTrace], view: u16) -> ConflictProfile {
-        Self::fold(traces, Some(view))
-    }
-
-    fn fold(traces: &[ThreadTrace], only_view: Option<u16>) -> ConflictProfile {
-        let mut p = ConflictProfile {
+    /// The profile of no events.
+    pub fn empty() -> ConflictProfile {
+        ConflictProfile {
             buckets: vec![BucketRow::ZERO; PROFILE_BUCKETS],
             unattributed: BucketRow::ZERO,
             affinity: vec![0; PROFILE_BUCKETS * PROFILE_BUCKETS],
@@ -109,62 +95,87 @@ impl ConflictProfile {
             sites: [0; 4],
             abort_cycles_total: 0,
             aborts_total: 0,
-        };
-        for trace in traces {
-            for ev in &trace.events {
-                if only_view.is_some_and(|v| ev.kind.view() != v) {
-                    continue;
-                }
-                match ev.kind {
-                    EventKind::TxAbort { cycles, .. } => {
-                        p.abort_cycles_total += cycles;
-                        p.aborts_total += 1;
-                    }
-                    EventKind::ConflictDetected {
-                        addr_bucket,
-                        kind,
-                        site,
-                        cycles,
-                        ..
-                    } => {
-                        p.sites[site as usize] += 1;
-                        if addr_bucket == ADDR_BUCKET_NONE {
-                            p.unattributed.record(kind, cycles);
-                        } else {
-                            p.buckets[usize::from(addr_bucket) % PROFILE_BUCKETS]
-                                .record(kind, cycles);
-                        }
-                    }
-                    EventKind::Footprint {
-                        committed,
-                        reads,
-                        writes,
-                        ..
-                    } => {
-                        if committed {
-                            p.committed_footprints += 1;
-                        } else {
-                            p.aborted_footprints += 1;
-                        }
-                        let mut bits = reads | writes;
-                        while bits != 0 {
-                            let i = bits.trailing_zeros() as usize;
-                            bits &= bits - 1;
-                            p.touches[i] += 1;
-                            let mut rest = bits;
-                            while rest != 0 {
-                                let j = rest.trailing_zeros() as usize;
-                                rest &= rest - 1;
-                                p.affinity[i * PROFILE_BUCKETS + j] += 1;
-                                p.affinity[j * PROFILE_BUCKETS + i] += 1;
-                            }
-                        }
-                    }
-                    _ => {}
-                }
+        }
+    }
+
+    /// Folds a flight-recorder snapshot into a profile.
+    ///
+    /// Thread order does not affect the result: every fold is a
+    /// commutative counter bump, so the profile is deterministic for a
+    /// deterministic simulation regardless of snapshot interleaving.
+    pub fn from_traces(traces: &[ThreadTrace]) -> ConflictProfile {
+        Self::fold(traces, |_| true)
+    }
+
+    /// Folds only the events recorded against `view`. This is the
+    /// repartitioner's input: with several views sharing one recorder, a
+    /// split decision for view V must not see the affinity of buckets the
+    /// route table already assigns elsewhere.
+    pub fn from_traces_for_view(traces: &[ThreadTrace], view: u16) -> ConflictProfile {
+        Self::fold(traces, |kind| kind.view() == view)
+    }
+
+    fn fold(traces: &[ThreadTrace], keep: impl Fn(&EventKind) -> bool) -> ConflictProfile {
+        let mut p = ConflictProfile::empty();
+        for ev in traces.iter().flat_map(|t| &t.events) {
+            if keep(&ev.kind) {
+                p.add(&ev.kind);
             }
         }
         p
+    }
+
+    /// Folds one event into the profile; kinds other than aborts, conflict
+    /// sites and footprints leave it unchanged. Folding is a sum of
+    /// per-event counter bumps, so a profile built up incrementally equals
+    /// one folded from a snapshot of the same events.
+    pub fn add(&mut self, kind: &EventKind) {
+        match *kind {
+            EventKind::TxAbort { cycles, .. } => {
+                self.abort_cycles_total += cycles;
+                self.aborts_total += 1;
+            }
+            EventKind::ConflictDetected {
+                addr_bucket,
+                kind,
+                site,
+                cycles,
+                ..
+            } => {
+                self.sites[site as usize] += 1;
+                if addr_bucket == ADDR_BUCKET_NONE {
+                    self.unattributed.record(kind, cycles);
+                } else {
+                    self.buckets[usize::from(addr_bucket) % PROFILE_BUCKETS].record(kind, cycles);
+                }
+            }
+            EventKind::Footprint {
+                committed,
+                reads,
+                writes,
+                ..
+            } => {
+                if committed {
+                    self.committed_footprints += 1;
+                } else {
+                    self.aborted_footprints += 1;
+                }
+                let mut bits = reads | writes;
+                while bits != 0 {
+                    let i = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    self.touches[i] += 1;
+                    let mut rest = bits;
+                    while rest != 0 {
+                        let j = rest.trailing_zeros() as usize;
+                        rest &= rest - 1;
+                        self.affinity[i * PROFILE_BUCKETS + j] += 1;
+                        self.affinity[j * PROFILE_BUCKETS + i] += 1;
+                    }
+                }
+            }
+            _ => {}
+        }
     }
 
     /// Co-access count between buckets `i` and `j` (symmetric).

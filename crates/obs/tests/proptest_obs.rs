@@ -5,8 +5,10 @@
 use std::sync::Arc;
 
 use votm_obs::hist::{bucket_index, bucket_lower, bucket_upper};
+use votm_obs::recorder::CHUNK_SLOTS;
 use votm_obs::{
-    AbortReason, EventKind, FlightRecorder, HistogramSnapshot, LatencyHistogram, HIST_BUCKETS,
+    AbortReason, ConflictProfile, ConflictSiteKind, EventKind, FlightRecorder, HistogramSnapshot,
+    LatencyHistogram, ADDR_BUCKET_NONE, HIST_BUCKETS, PROFILE_BUCKETS,
 };
 use votm_utils::XorShift64;
 
@@ -110,7 +112,18 @@ fn quantiles_are_monotone_and_bracket_the_extremes() {
 fn ring_wraparound_keeps_the_newest_suffix_intact() {
     let mut rng = XorShift64::new(0x0b5_0004);
     for case in 0..100 {
-        let cap = 8usize << rng.next_below(3); // 8, 16 or 32 slots
+        // Capacities below, at and above one lazily allocated chunk, so
+        // the newest suffix crosses chunk boundaries and wraps mid-chunk.
+        let caps = [
+            8,
+            16,
+            32,
+            CHUNK_SLOTS / 2,
+            CHUNK_SLOTS,
+            2 * CHUNK_SLOTS,
+            4 * CHUNK_SLOTS,
+        ];
+        let cap = caps[rng.next_index(caps.len())];
         let rec = Arc::new(FlightRecorder::new(1, cap));
         let h = rec.handle(0);
         let n = rng.next_below(4 * cap as u64);
@@ -170,4 +183,117 @@ fn recorded_counts_are_monotone_across_interleaved_snapshots() {
         prev_recorded = t.recorded;
         prev_dropped = t.dropped;
     }
+}
+
+/// A random event of a kind the conflict profile folds (or ignores), on
+/// `view`.
+fn random_profile_event(rng: &mut XorShift64, view: u16) -> EventKind {
+    let reason = AbortReason::ALL[rng.next_index(AbortReason::COUNT)];
+    // Footprints touch a handful of buckets, so affinities accumulate.
+    let sparse = |rng: &mut XorShift64| {
+        (0..1 + rng.next_below(4))
+            .fold(0u64, |m, _| m | 1 << rng.next_below(PROFILE_BUCKETS as u64))
+    };
+    match rng.next_below(5) {
+        0 => EventKind::TxAbort {
+            view,
+            reason,
+            cycles: rng.next_below(1000),
+        },
+        1 => EventKind::ConflictDetected {
+            view,
+            addr_bucket: if rng.chance_percent(20) {
+                ADDR_BUCKET_NONE
+            } else {
+                rng.next_below(PROFILE_BUCKETS as u64) as u8
+            },
+            kind: reason,
+            site: [
+                ConflictSiteKind::None,
+                ConflictSiteKind::Addr,
+                ConflictSiteKind::Orec,
+                ConflictSiteKind::Bloom,
+            ][rng.next_index(4)],
+            cycles: rng.next_below(1000),
+            raw: rng.next_u64(),
+        },
+        2 | 3 => EventKind::Footprint {
+            view,
+            committed: rng.chance_percent(70),
+            reads: sparse(rng),
+            writes: sparse(rng),
+        },
+        _ => EventKind::TxBegin { view },
+    }
+}
+
+#[test]
+fn incremental_view_profiles_equal_a_final_snapshot_fold() {
+    let mut rng = XorShift64::new(0x0b5_0005);
+    for case in 0..100 {
+        let threads = 1 + rng.next_index(4);
+        let views = 1 + rng.next_below(4) as u16;
+        let n = rng.next_below(600);
+        // Large enough that no ring wraps.
+        let rec = FlightRecorder::new(threads, 1024);
+        let mut cursors = Vec::new();
+        let mut profiles = vec![ConflictProfile::empty(); views as usize];
+        let mut fold = |rec: &FlightRecorder, cursors: &mut Vec<u64>| {
+            rec.for_each_new(cursors, |_, ev| {
+                profiles[usize::from(ev.kind.view())].add(&ev.kind)
+            })
+        };
+        for i in 0..n {
+            let view = rng.next_below(u64::from(views)) as u16;
+            let kind = random_profile_event(&mut rng, view);
+            rec.record(rng.next_index(threads), i, kind);
+            // Advance the cursors at random cut points.
+            if rng.chance_percent(5) {
+                assert_eq!(fold(&rec, &mut cursors), 0, "case {case}: lost events");
+            }
+        }
+        assert_eq!(fold(&rec, &mut cursors), 0, "case {case}: lost events");
+        let snapshot = rec.snapshot();
+        for (v, p) in profiles.iter().enumerate() {
+            assert_eq!(
+                *p,
+                ConflictProfile::from_traces_for_view(&snapshot, v as u16),
+                "case {case}: view {v}"
+            );
+        }
+    }
+}
+
+#[test]
+fn incremental_profile_keeps_events_a_wrapped_ring_overwrote() {
+    let footprint = EventKind::Footprint {
+        view: 0,
+        committed: true,
+        reads: 0b11,
+        writes: 0,
+    };
+    let rec = FlightRecorder::new(1, 8);
+    let mut cursors = Vec::new();
+    let mut incremental = ConflictProfile::empty();
+    for i in 0..20u64 {
+        rec.record(0, i, footprint);
+        // Read every 4 events: nothing is overwritten before it is read.
+        if i % 4 == 3 {
+            let lost = rec.for_each_new(&mut cursors, |_, ev| incremental.add(&ev.kind));
+            assert_eq!(lost, 0);
+        }
+    }
+    // The incremental profile counts all 20 footprints; a fold of the
+    // snapshot sees only the 8 the ring still holds.
+    assert_eq!(incremental.touches[0], 20);
+    assert_eq!(incremental.affinity(0, 1), 20);
+    let snapshot = ConflictProfile::from_traces_for_view(&rec.snapshot(), 0);
+    assert_eq!(snapshot.touches[0], 8);
+
+    // A reader that falls more than a lap behind gets the surviving
+    // suffix and the count of what it missed.
+    let mut late = Vec::new();
+    let mut seen = Vec::new();
+    assert_eq!(rec.for_each_new(&mut late, |_, ev| seen.push(ev.seq)), 12);
+    assert_eq!(seen, (12..20).collect::<Vec<u64>>());
 }
